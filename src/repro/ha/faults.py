@@ -363,6 +363,7 @@ class FaultInjector:
                 self.rng.randrange(len(log_targets))
             ]
             record = replica.log.records[index]
+            # Replace, never mutate: an in-place fault must clear ``clean``.
             rotten = dataclasses.replace(
                 record, payload=("§rot", record.payload)
             )
@@ -439,6 +440,7 @@ class FaultInjector:
         # like.
         index = log.live_records - 1
         record = log.records[index]
+        # Replace, never mutate: an in-place fault must clear ``clean``.
         log.records[index] = dataclasses.replace(
             record, payload=("§torn", txn_id)
         )

@@ -248,6 +248,10 @@ def render_scrub_summary(stats: dict[str, int],
         ["pages scanned", stats.get("pages_scanned", 0)],
         ["versions verified", stats.get("versions_verified", 0)],
         ["replica logs scanned", stats.get("replica_logs_scanned", 0)],
+        ["replica records hashed",
+         stats.get("replica_records_hashed", 0)],
+        ["replica records already clean",
+         stats.get("replica_records_clean", 0)],
         ["corruptions found", stats.get("corruptions_found", 0)],
         ["repaired from replica", stats.get("repaired", 0)],
         ["fenced (unrepairable)", stats.get("fenced", 0)],

@@ -66,13 +66,22 @@ class LogRecord:
     #: ``LogManager.append``.  ``None`` on hand-built records (test
     #: fixtures) — those verify trivially.
     checksum: int | None = dataclasses.field(default=None, compare=False)
+    #: Set by the first successful :meth:`verify`.  The record is
+    #: frozen, so its bytes cannot change under a clean verdict: every
+    #: fault that corrupts a record replaces it (``dataclasses.replace``
+    #: re-runs ``__init__``, so the copy starts unverified).
+    clean: bool = dataclasses.field(default=False, init=False, repr=False,
+                                    compare=False)
 
     def verify(self, *, where: str = "wal-replay") -> None:
         """Raise ``IntegrityError`` unless the record still matches the
         checksum it was appended with (bit rot / torn write detection
-        on every replay and shipment)."""
+        on every replay and shipment); a clean verdict is cached."""
+        if self.clean:
+            return
         _verify_checksum((self.lsn, self.txn_id, self.kind, self.payload),
                          self.checksum, where=where, detail=self.lsn)
+        object.__setattr__(self, "clean", True)
 
 
 class LogSegment:

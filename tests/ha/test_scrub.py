@@ -1,6 +1,8 @@
 """Scrub daemon: detect silent corruption, repair from a replica,
 fence what cannot be repaired, rebuild rotten replica logs."""
 
+import dataclasses
+
 import pytest
 
 from repro.ha import (
@@ -11,6 +13,7 @@ from repro.ha import (
     ScrubPolicy,
 )
 from repro.cluster.master import PartitionUnavailableError
+from repro.metrics import render_scrub_summary
 from repro.storage.checksum import IntegrityError
 
 from tests.ha.conftest import insert_rows, run
@@ -41,6 +44,20 @@ def rot_row(cluster, partition):
             version.clean = False
             return version, original
     raise AssertionError("no committed row to rot")
+
+
+def rot_replica_record(replica):
+    """Garble one data record of a replica log the way the fault
+    injector does: the frozen record is replaced by a copy whose
+    payload changed and whose checksum stayed."""
+    index = next(
+        i for i, r in enumerate(replica.log.records)
+        if r.kind in ("insert", "update") and r.checksum is not None
+    )
+    record = replica.log.records[index]
+    replica.log.records[index] = dataclasses.replace(
+        record, payload=("§rot", record.payload)
+    )
 
 
 def scrub_once(env, cluster, replication, coordinator, **policy):
@@ -109,18 +126,7 @@ def test_scrub_marks_rotten_replica_log_stale_and_rebuilds(rig):
     partition = kv_partition(cluster)
     replica_set = cluster.catalog.replica_set_for(partition.partition_id)
     replica = replica_set.replicas[0]
-    # Garble a replica log record, fault-injector style: payload
-    # changes, checksum stays.
-    import dataclasses
-
-    index = next(
-        i for i, r in enumerate(replica.log.records)
-        if r.kind in ("insert", "update") and r.checksum is not None
-    )
-    record = replica.log.records[index]
-    replica.log.records[index] = dataclasses.replace(
-        record, payload=("§rot", record.payload)
-    )
+    rot_replica_record(replica)
 
     daemon = scrub_once(env, cluster, replication, coordinator)
 
@@ -132,6 +138,73 @@ def test_scrub_marks_rotten_replica_log_stale_and_rebuilds(rig):
     for r in fresh:
         for rec in r.log.records:
             rec.verify(where="test")
+
+
+def test_scrub_finds_rot_on_a_replica_log_an_earlier_pass_verified(rig):
+    """Rot that lands after a clean pass: the records the first pass
+    verified are memoised clean, the rotten copy is not, so the next
+    pass still catches it and rebuilds the replica."""
+    env, cluster = rig
+    replication, coordinator = setup_protected(env, cluster)
+    partition = kv_partition(cluster)
+    replica_set = cluster.catalog.replica_set_for(partition.partition_id)
+    replica = replica_set.replicas[0]
+    daemon = scrub_once(env, cluster, replication, coordinator)
+    assert daemon.corruptions_found == 0
+    assert all(r.clean for r in replica.log.records)
+
+    rot_replica_record(replica)
+    run(env, daemon._tick())
+
+    assert daemon.passes == 2
+    assert daemon.corruptions_found == 1
+    assert replica.stale
+    assert daemon.replicas_rebuilt == 1
+    assert any(not r.stale and r is not replica
+               for r in replica_set.replicas)
+
+
+def test_fold_rejects_rot_on_a_replica_log_verified_clean(rig):
+    env, cluster = rig
+    replication, coordinator = setup_protected(env, cluster)
+    partition = kv_partition(cluster)
+    replica = cluster.catalog.replica_set_for(
+        partition.partition_id).replicas[0]
+    daemon = scrub_once(env, cluster, replication, coordinator)
+    assert run(env, daemon._fold_replica(replica))  # clean: folds rows
+
+    rot_replica_record(replica)
+
+    assert run(env, daemon._fold_replica(replica)) is None
+    assert replica.stale
+    assert daemon.corruptions_found == 1
+
+
+def test_scrub_counts_hashed_and_already_clean_replica_records(rig):
+    env, cluster = rig
+    replication, coordinator = setup_protected(env, cluster)
+    walked = sum(
+        len(replica.log.records)
+        for replica_set in cluster.catalog.replica_sets.values()
+        for replica in replica_set.replicas
+    )
+    assert walked > 0
+    daemon = scrub_once(env, cluster, replication, coordinator)
+    assert daemon.replica_records_hashed \
+        + daemon.replica_records_clean == walked
+    hashed = daemon.replica_records_hashed
+    clean = daemon.replica_records_clean
+
+    run(env, daemon._tick())  # second pass: nothing new to hash
+
+    assert daemon.replica_records_hashed == hashed
+    assert daemon.replica_records_clean == clean + walked
+    stats = daemon.stats()
+    assert stats["replica_records_hashed"] == hashed
+    assert stats["replica_records_clean"] == clean + walked
+    summary = render_scrub_summary(stats)
+    assert "replica records hashed" in summary
+    assert "replica records already clean" in summary
 
 
 def test_scrub_budget_resumes_across_ticks(rig):

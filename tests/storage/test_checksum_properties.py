@@ -19,7 +19,7 @@ from repro.storage.checksum import (
     verify,
 )
 from repro.storage.record import RecordVersion, Schema, Column
-from repro.txn.recovery import integrity_scan
+from repro.txn.recovery import analyze, integrity_scan
 from repro.txn.wal import LogManager
 
 # Values that survive repr-canonicalisation bit-exactly: what rows and
@@ -169,3 +169,33 @@ def test_discard_tail_then_append_stays_verifiable(tails, extra):
     assert discarded2 == 0
     lsns = [r.lsn for r in records]
     assert lsns == sorted(lsns)
+
+
+@given(st.lists(payloads, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_commit_verified_at_ship_then_torn_is_still_discarded(tails):
+    """Verify-once must not mask a later tear: a commit record that
+    already passed replica-ship verification and is then torn is
+    discarded as a torn tail, and its transaction recovers as a
+    loser."""
+    env = Environment(seed=1)
+    log = _log(env)
+    for txn_id, payload in enumerate(tails, start=1):
+        log.append(txn_id, "update", ("t", txn_id, payload))
+        log.append(txn_id, "commit")
+    for record in log.records:
+        record.verify(where="replica-ship")
+    index = log.live_records - 1
+    commit = log.records[index]
+    assert commit.kind == "commit" and commit.clean
+    log.records[index] = dataclasses.replace(
+        commit, payload=("§torn", commit.txn_id)
+    )
+
+    records, discarded = integrity_scan(log, 0)
+    assert discarded == 1
+    assert len(records) == log.live_records - 1
+    _data, committed, losers = analyze(log, 0)
+    assert commit.txn_id not in committed
+    assert committed == set(range(1, len(tails)))
+    assert losers == 1

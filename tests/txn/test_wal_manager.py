@@ -1,11 +1,14 @@
 """WAL and transaction-manager tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware import Disk, HDD_SPEC, Network, NetworkPort, SSD_SPEC
 from repro.metrics import CostBreakdown
 from repro.sim import Environment
 from repro.txn import LogManager, LogShippingSink, TransactionManager
+from repro.storage import checksum
 from repro.txn.wal import LOG_BLOCK_BYTES
 
 
@@ -17,6 +20,45 @@ def make_log():
 
 def run(env, gen):
     return env.run(until=env.process(gen))
+
+
+class TestLogRecordVerifyOnce:
+    def test_replace_of_a_clean_record_starts_unverified(self):
+        _env, _disk, log = make_log()
+        log.append(1, "update", ("t", 1, ("a", 2)))
+        record = log.records[0]
+        record.verify(where="test")
+        rotten = dataclasses.replace(record, payload=("rot",))
+        assert not rotten.clean
+        with pytest.raises(checksum.IntegrityError):
+            rotten.verify(where="test")
+        assert not rotten.clean
+
+    def test_clean_is_outside_eq_hash_and_repr(self):
+        _env, _disk, log = make_log()
+        log.append(1, "commit")
+        record = log.records[0]
+        twin = dataclasses.replace(record)
+        before = (hash(record), repr(record))
+        record.verify(where="test")
+        assert record.clean and not twin.clean
+        assert record == twin
+        assert (hash(record), repr(record)) == before == (hash(twin),
+                                                          repr(twin))
+        assert "clean" not in repr(record)
+
+    def test_second_verify_does_not_hash(self, monkeypatch):
+        _env, _disk, log = make_log()
+        log.append(1, "update", ("t", 1, ("a", 2)))
+        record = log.records[0]
+        calls = []
+        real = checksum.checksum_of
+        monkeypatch.setattr(checksum, "checksum_of",
+                            lambda obj: calls.append(obj) or real(obj))
+        record.verify(where="test")
+        assert len(calls) == 1
+        record.verify(where="test")
+        assert len(calls) == 1
 
 
 class TestLogManager:
