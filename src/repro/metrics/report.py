@@ -360,6 +360,8 @@ def render_kernel_stats(stats: dict[str, int | float],
         ["fast-path fraction", stats.get("fast_fraction", 0.0)],
         ["heap peak depth", stats.get("heap_peak", 0)],
         ["resource fast grants", stats.get("resource_fast_grants", 0)],
+        ["cohorts dispatched", stats.get("cohorts_dispatched", 0)],
+        ["largest cohort", stats.get("cohort_max", 0)],
     ]
     for key in ("latch_fast_hits", "latch_contended"):
         if key in stats:

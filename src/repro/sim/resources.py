@@ -13,7 +13,7 @@ pairs whose sift comparisons resolve on a single int compare instead of
 lexicographic ``(priority, seq, Request)`` tuple walks.  Cancellation
 just flips the request's ``released`` flag and counts a tombstone
 (skipped on pop, compacted lazily once tombstones dominate — the
-policy PR 4 introduced).
+policy of DESIGN.md §9).
 
 Every resource carries a :class:`UtilizationTracker` — a time-weighted
 integral of busy units — because the power model converts component

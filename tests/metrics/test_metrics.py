@@ -8,10 +8,12 @@ from repro.metrics import (
     CostBreakdown,
     TimeSeries,
     percentile,
+    render_kernel_stats,
     render_series_table,
     render_table,
 )
 from repro.metrics.breakdown import COMPONENTS
+from repro.sim import Environment
 
 
 class TestCostBreakdown:
@@ -142,3 +144,24 @@ class TestReport:
     def test_render_series_table_empty(self):
         with pytest.raises(ValueError):
             render_series_table({})
+
+    def test_render_kernel_stats(self):
+        env = Environment()
+
+        def sleeper(delay):
+            yield env.timeout(delay)
+
+        for delay in (1.0, 1.0, 1.0, 2.0):
+            env.process(sleeper(delay))
+        env.run()
+        stats = env.kernel_stats()
+        # The counters the repo benchmark reads.
+        assert stats["events_processed"] == 12
+        assert stats["fast_fraction"] == pytest.approx(8 / 12)
+        assert stats["cohorts_dispatched"] == 2
+        assert stats["cohort_max"] == 3
+        rows = {line.rsplit(None, 1)[0].strip(): line.split()[-1]
+                for line in render_kernel_stats(stats).splitlines()[3:]}
+        assert rows["events processed"] == "12"
+        assert rows["cohorts dispatched"] == "2"
+        assert rows["largest cohort"] == "3"

@@ -293,3 +293,87 @@ def test_nested_processes_three_deep():
 
     result = env.run(until=env.process(level1()))
     assert result == 113
+
+
+def test_stop_event_mid_cohort_leaves_the_rest_due():
+    env = Environment()
+    stop = env.event()
+    order = []
+
+    def sleeper(tag, delay):
+        yield env.timeout(delay)
+        order.append((env.now, tag))
+        if tag == "b":
+            stop.succeed()
+
+    for tag in "abcd":
+        env.process(sleeper(tag, 1.0))
+    env.process(sleeper("late", 2.0))
+    env.run(until=stop)
+    assert order == [(1.0, "a"), (1.0, "b")]
+    assert env.now == 1.0
+    assert env.peek() == 1.0
+    env.run()
+    assert order == [(1.0, "a"), (1.0, "b"), (1.0, "c"), (1.0, "d"),
+                     (2.0, "late")]
+    # The cohort split across the two calls is still counted whole.
+    assert env.kernel_stats()["cohort_max"] == 4
+
+
+# -- cohort-shaped schedules: same-timestamp waves and deep pending sets --
+
+def test_lockstep_processes_form_one_cohort_per_tick():
+    env = Environment()
+    procs, steps = 50, 20
+
+    def ticker():
+        for _ in range(steps):
+            yield env.timeout(0.001)
+
+    for _ in range(procs):
+        env.process(ticker())
+    env.run()
+    stats = env.kernel_stats()
+    assert env.now == pytest.approx(0.02, rel=1e-6)
+    assert stats["cohort_max"] >= procs
+    assert stats["cohorts_dispatched"] == steps
+    # Per process: bootstrap, one timeout per step, the exit event.
+    assert stats["events_processed"] == procs * (steps + 2)
+
+
+def test_barrier_waves_reform_wide_cohorts():
+    env = Environment()
+    procs, waves, quantum = 40, 30, 0.001
+
+    def worker(i):
+        for n in range(waves):
+            # Work skewed per process, then re-converge on the barrier.
+            work = ((i * 13 + n * 7) % 5) * 1e-5
+            target = (int((env.now + work) / quantum) + 1) * quantum
+            yield env.timeout(target - env.now)
+
+    for i in range(procs):
+        env.process(worker(i))
+    env.run()
+    stats = env.kernel_stats()
+    assert stats["cohort_max"] >= procs // 2
+    assert stats["events_processed"] == procs * (waves + 2)
+
+
+def test_deep_pending_set_fires_every_timer():
+    env = Environment()
+    timers, rounds = 400, 5
+    fired = 0
+
+    def timer(i):
+        nonlocal fired
+        delay = 0.0003 + (i % 97) * 0.00013
+        for _ in range(rounds):
+            yield env.timeout(delay)
+            fired += 1
+
+    for i in range(timers):
+        env.process(timer(i))
+    env.run()
+    assert fired == timers * rounds
+    assert env.kernel_stats()["heap_peak"] == timers

@@ -1,13 +1,13 @@
-"""Property test: calendar-queue kernel vs a reference single-heap kernel.
+"""Property test: the kernel vs a reference single-heap kernel.
 
-The batched event core (DESIGN.md §14) must dispatch in exactly the
-order the seed kernel did: timed events in ``(time, seq)`` order, due
-timed events before anything in the zero-delay FIFO, zero-delay events
-FIFO among themselves.  The determinism goldens pin this on two big
-model workloads; this test pins it on *adversarial* random schedules —
-zero-delay cascades, same-timestamp cohorts landing in one calendar
-bucket, sub-bucket and beyond-horizon delays, and resource requests
-cancelled while queued (heap tombstones).
+The event core (DESIGN.md §14) must dispatch in exactly the order the
+seed kernel did: timed events in ``(time, seq)`` order, due timed
+events before anything in the zero-delay FIFO, zero-delay events FIFO
+among themselves.  The determinism goldens pin this on two big model
+workloads; this test pins it on *adversarial* random schedules —
+zero-delay cascades, same-timestamp cohorts, sub-ulp delays that round
+to the current clock, and resource requests cancelled while queued
+(heap tombstones).
 
 The reference kernel below is the seed algorithm: one global ``heapq``
 keyed ``(time, seq, event)`` plus the zero-delay deque, run with the
@@ -105,11 +105,11 @@ class ReferenceEnvironment:
                 raise exc
 
 
-# Delays chosen to hit every calendar regime (bucket width 0.0005,
-# horizon 2048 buckets = 1.024s): zero-delay FIFO, sub-bucket folds
-# into the cursor bucket, exact-duplicate cohort members, multi-bucket
-# hops, and beyond-horizon pushes into the overflow tier.
-DELAYS = [0.0, 0.0001, 0.00025, 0.0005, 0.0005, 0.001, 0.0013,
+# Delays chosen to hit every ordering edge: the zero-delay FIFO,
+# exact-duplicate cohort members, short and long hops, and a sub-ulp
+# delay — once the clock passes about 0.1 s, ``now + 1e-17 == now``, so
+# the timed entry is due at once and must preempt the FIFO.
+DELAYS = [0.0, 1e-17, 0.0001, 0.00025, 0.0005, 0.0005, 0.001, 0.0013,
           0.01, 0.25, 1.5, 5.0]
 
 step_strategy = st.tuples(
@@ -152,7 +152,7 @@ def _execute(env, resource, program):
 
 @settings(max_examples=120, deadline=None)
 @given(program=program_strategy)
-def test_calendar_kernel_matches_single_heap_reference(program):
+def test_kernel_matches_single_heap_reference(program):
     real_env = Environment()
     real_trace = _execute(real_env, Resource(real_env, capacity=1), program)
 
@@ -161,6 +161,6 @@ def test_calendar_kernel_matches_single_heap_reference(program):
 
     assert real_trace == ref_trace
     assert real_env.now == ref_env.now
-    # Same number of timed schedules on both sides: the calendar did
-    # not silently reroute timed work through the zero-delay FIFO.
+    # Same number of timed schedules on both sides: the kernel did not
+    # silently reroute timed work through the zero-delay FIFO.
     assert real_env.heap_scheduled == ref_env.heap_scheduled
