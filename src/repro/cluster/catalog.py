@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import typing
 
+from repro.cluster.worker import RecordNotHereError
 from repro.index.partition_tree import KeyRange, PartitionTree
 from repro.storage.record import Schema
 from repro.storage.segment import Segment
@@ -113,8 +114,6 @@ class Partition:
         if found is not None:
             return found  # may be a Forwarding; caller checks
         if not self.accepts_uncovered:
-            from repro.cluster.worker import RecordNotHereError
-
             raise RecordNotHereError(
                 f"partition {self.partition_id} is receiving a move and "
                 f"does not yet cover key {key!r}"

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import typing
 
+from repro.cluster.worker import RecordNotHereError
 from repro.engine.operators import SegmentMovedError
 from repro.hardware import specs
-from repro.index.global_table import GlobalPartitionTable
+from repro.index.global_table import GlobalPartitionTable, PartitionLocation
+from repro.index.partition_tree import KeyRange
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Environment
 from repro.txn.manager import Transaction
@@ -111,8 +113,6 @@ class MasterNode:
                 txn: Transaction | None = None):
         """Generator: run ``action(worker, partition)`` on the right node,
         following dual pointers and forwarding pointers."""
-        from repro.cluster.worker import RecordNotHereError
-
         if txn is not None:
             # A transaction aborted underneath us (e.g. its node was
             # crash-killed) must stop issuing work — otherwise it could
@@ -167,8 +167,6 @@ class MasterNode:
         treated as "not here" — during a move the record may already
         (or still) live on the other candidate node.
         """
-        from repro.cluster.worker import RecordNotHereError
-
         tier = self.read_tier
         if (tier is not None and txn is not None
                 and getattr(txn, "declared_read_only", False)):
@@ -223,8 +221,6 @@ class MasterNode:
         """Generator: routed update.  A candidate where the key is not
         visible defers to the other candidate (mid-move redirection);
         KeyError surfaces only if no candidate can see it."""
-        from repro.cluster.worker import RecordNotHereError
-
         def action(worker, partition):
             try:
                 yield from worker.update_record(
@@ -242,8 +238,6 @@ class MasterNode:
                breakdown: CostBreakdown | None = None, cc: str = "mvcc",
                priority: int = 0):
         """Generator: routed delete (same redirection rules as update)."""
-        from repro.cluster.worker import RecordNotHereError
-
         def action(worker, partition):
             try:
                 yield from worker.delete_record(
@@ -290,9 +284,6 @@ class MasterNode:
                    limit: int | None = None):
         """Generator: routed range read over ``[lo, hi)`` with partition
         pruning; returns rows in key order."""
-        from repro.index.partition_tree import KeyRange
-        from repro.cluster.worker import RecordNotHereError
-
         key_range = KeyRange(lo, hi)
         if txn is not None:
             txn.require_active()
@@ -356,8 +347,6 @@ class MasterNode:
     def create_table(self, name, schema, owner: "WorkerNode",
                      key_range=None):
         """Define a table with one initial partition on ``owner``."""
-        from repro.index.partition_tree import KeyRange
-
         partitions = self.create_partitioned_table(
             name, schema, [(key_range or KeyRange(None, None), owner)]
         )
@@ -366,8 +355,6 @@ class MasterNode:
     def create_partitioned_table(self, name, schema, assignments):
         """Define a table with one partition per ``(key_range, worker)``
         assignment; ranges must not overlap."""
-        from repro.index.global_table import PartitionLocation
-
         table = self.catalog.define_table(name, schema)
         partitions = []
         for key_range, owner in assignments:

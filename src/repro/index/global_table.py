@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.index.partition_tree import KeyRange
+from repro.index.partition_tree import BoundIndex, KeyRange
 
 
 @dataclasses.dataclass
@@ -47,70 +47,96 @@ class PartitionLocation:
 
 
 class GlobalPartitionTable:
-    """Per-table map from key range to partition location."""
+    """Per-table map from key range to partition location.
+
+    Each table keeps its ``(range, location)`` entries in a
+    :class:`BoundIndex` for key lookups and a ``partition_id -> entry``
+    map for the bookkeeping calls; :meth:`register`, :meth:`unregister`,
+    :meth:`split` and :meth:`unsplit` are the only mutators and keep
+    both current.
+    """
 
     def __init__(self):
-        self._tables: dict[str, list[tuple[KeyRange, PartitionLocation]]] = {}
+        self._tables: dict[str, BoundIndex] = {}
+        self._by_id: dict[str, dict[int, tuple[KeyRange, PartitionLocation]]] = {}
+
+    def _entry(self, table: str, partition_id: int
+               ) -> tuple[KeyRange, PartitionLocation]:
+        try:
+            return self._by_id[table][partition_id]
+        except KeyError:
+            raise KeyError(
+                f"partition {partition_id} not registered for {table}"
+            ) from None
+
+    def _entries(self, table: str) -> list[tuple[KeyRange, PartitionLocation]]:
+        try:
+            return self._tables[table].values
+        except KeyError:
+            raise KeyError(f"unknown table {table!r}") from None
+
+    def _insert(self, table: str, key_range: KeyRange,
+                location: PartitionLocation) -> None:
+        entry = (key_range, location)
+        self._tables[table].insert(key_range.low, entry)
+        self._by_id[table][location.partition_id] = entry
+
+    def _remove(self, table: str,
+                partition_id: int) -> tuple[KeyRange, PartitionLocation]:
+        key_range, _location = self._entry(table, partition_id)
+        del self._by_id[table][partition_id]
+        return self._tables[table].remove(key_range.low)
 
     def register(self, table: str, key_range: KeyRange,
                  location: PartitionLocation) -> None:
-        entries = self._tables.setdefault(table, [])
-        for existing_range, existing_loc in entries:
-            if existing_loc.partition_id == location.partition_id:
-                raise ValueError(
-                    f"partition {location.partition_id} already registered"
-                )
+        bounds = self._tables.setdefault(table, BoundIndex())
+        if location.partition_id in self._by_id.setdefault(table, {}):
+            raise ValueError(
+                f"partition {location.partition_id} already registered"
+            )
+        for existing_range, existing_loc in bounds.neighbours(key_range.low):
             if existing_range.overlaps(key_range):
                 raise ValueError(
                     f"range {key_range} overlaps partition "
                     f"{existing_loc.partition_id}'s range {existing_range}"
                 )
-        entries.append((key_range, location))
-        entries.sort(key=lambda e: (e[0].low is not None, e[0].low))
+        self._insert(table, key_range, location)
 
     def unregister(self, table: str, partition_id: int) -> None:
-        entries = self._tables.get(table, [])
-        kept = [(r, l) for r, l in entries if l.partition_id != partition_id]
-        if len(kept) == len(entries):
-            raise KeyError(f"partition {partition_id} not registered for {table}")
-        self._tables[table] = kept
+        self._remove(table, partition_id)
 
     def tables(self) -> list[str]:
         return list(self._tables)
 
     def partitions(self, table: str) -> list[tuple[KeyRange, PartitionLocation]]:
-        if table not in self._tables:
-            raise KeyError(f"unknown table {table!r}")
-        return list(self._tables[table])
+        return list(self._entries(table))
 
     def locate(self, table: str, key: typing.Any) -> PartitionLocation:
         """Partition responsible for ``key``."""
-        for key_range, location in self.partitions(table):
-            if key_range.contains(key):
-                return location
+        try:
+            bounds = self._tables[table]
+        except KeyError:
+            raise KeyError(f"unknown table {table!r}") from None
+        entry = bounds.candidate(key)
+        if entry is not None and entry[0].contains(key):
+            return entry[1]
         raise KeyError(f"no partition of {table!r} covers key {key!r}")
 
     def locate_range(self, table: str,
                      key_range: KeyRange) -> list[PartitionLocation]:
         """Partition pruning: only partitions overlapping the range."""
         return [
-            location for r, location in self.partitions(table)
+            location for r, location in self._entries(table)
             if r.overlaps(key_range)
         ]
 
     def range_of(self, table: str, partition_id: int) -> KeyRange:
-        for key_range, location in self.partitions(table):
-            if location.partition_id == partition_id:
-                return key_range
-        raise KeyError(f"partition {partition_id} not registered for {table}")
+        return self._entry(table, partition_id)[0]
 
     # -- repartitioning bookkeeping (dual pointers) ------------------------
 
     def _location(self, table: str, partition_id: int) -> PartitionLocation:
-        for _range, location in self.partitions(table):
-            if location.partition_id == partition_id:
-                return location
-        raise KeyError(f"partition {partition_id} not registered for {table}")
+        return self._entry(table, partition_id)[1]
 
     def begin_move(self, table: str, partition_id: int, target_node_id: int) -> None:
         """Master learns of a move first: keep both pointers."""
@@ -144,17 +170,13 @@ class GlobalPartitionTable:
               new_partition_id: int, new_node_id: int) -> None:
         """Split a partition's range at ``split_key``; the upper half
         becomes a new partition on ``new_node_id``."""
-        entries = self.partitions(table)
-        for i, (key_range, location) in enumerate(entries):
-            if location.partition_id == partition_id:
-                low_range, high_range = key_range.split_at(split_key)
-                self._tables[table][i] = (low_range, location)
-                self.register(
-                    table, high_range,
-                    PartitionLocation(new_partition_id, new_node_id),
-                )
-                return
-        raise KeyError(f"partition {partition_id} not registered for {table}")
+        key_range, location = self._entry(table, partition_id)
+        low_range, high_range = key_range.split_at(split_key)
+        self._remove(table, partition_id)
+        self._insert(table, low_range, location)
+        self.register(
+            table, high_range, PartitionLocation(new_partition_id, new_node_id),
+        )
 
     def unsplit(self, table: str, partition_id: int,
                 absorbed_partition_id: int) -> None:
@@ -164,23 +186,23 @@ class GlobalPartitionTable:
         split-mode range move that never switched a segment."""
         keeper_range = self.range_of(table, partition_id)
         absorbed_range = self.range_of(table, absorbed_partition_id)
-        if keeper_range.high == absorbed_range.low:
+        # An unbounded end (None) meets nothing: [x, +inf) and
+        # (-inf, x) are adjacent only at x.
+        if keeper_range.high is not None \
+                and keeper_range.high == absorbed_range.low:
             merged = KeyRange(keeper_range.low, absorbed_range.high)
-        elif absorbed_range.high == keeper_range.low:
+        elif absorbed_range.high is not None \
+                and absorbed_range.high == keeper_range.low:
             merged = KeyRange(absorbed_range.low, keeper_range.high)
         else:
             raise ValueError(
                 f"partitions {partition_id} and {absorbed_partition_id} "
                 f"cover non-adjacent ranges {keeper_range} / {absorbed_range}"
             )
-        self.unregister(table, absorbed_partition_id)
-        entries = self._tables[table]
-        for i, (key_range, location) in enumerate(entries):
-            if location.partition_id == partition_id:
-                entries[i] = (merged, location)
-                location.epoch += 1
-                return
-        raise KeyError(f"partition {partition_id} not registered for {table}")
+        self._remove(table, absorbed_partition_id)
+        _range, location = self._remove(table, partition_id)
+        self._insert(table, merged, location)
+        location.epoch += 1
 
     def reassign(self, table: str, partition_id: int, new_node_id: int) -> None:
         """Repoint a partition at a new owner (replica promotion): the
@@ -201,8 +223,8 @@ class GlobalPartitionTable:
         """Every (table, range, location) whose candidates include
         ``node_id`` — what failover must deal with when it dies."""
         out = []
-        for table, entries in self._tables.items():
-            for key_range, location in entries:
+        for table, bounds in self._tables.items():
+            for key_range, location in bounds.values:
                 if node_id in location.candidate_nodes:
                     out.append((table, key_range, location))
         return out
@@ -212,6 +234,6 @@ class GlobalPartitionTable:
         tables = [table] if table is not None else self.tables()
         nodes: set[int] = set()
         for t in tables:
-            for _range, location in self.partitions(t):
+            for _range, location in self._entries(t):
                 nodes.update(location.candidate_nodes)
         return nodes

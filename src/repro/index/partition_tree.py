@@ -9,6 +9,7 @@ source node so in-flight queries find a moved segment's new home.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -55,6 +56,61 @@ class KeyRange:
         return f"[{low}, {high})"
 
 
+class BoundIndex:
+    """Values ordered by the low bounds of non-overlapping key ranges.
+
+    Because the ranges never overlap, ordering them by low bound also
+    orders them by high bound, and at most one of them can contain a
+    given key: the one with the greatest low bound not above it.  That
+    makes every point lookup one bisect plus one ``contains`` check.  At
+    most one range is unbounded below (``low=None``); it sorts first and
+    has no slot in :attr:`lows`.  The owner keeps the ranges disjoint.
+    """
+
+    __slots__ = ("values", "lows")
+
+    def __init__(self):
+        self.values: list = []
+        #: Low bounds of ``values``, all but a leading unbounded one.
+        self.lows: list = []
+
+    def position(self, low: typing.Any) -> int:
+        """Index in :attr:`values` at which a range starting at ``low``
+        sits, or would be inserted."""
+        if low is None:
+            return 0
+        return (bisect.bisect_left(self.lows, low)
+                + len(self.values) - len(self.lows))
+
+    def candidate(self, key: typing.Any) -> typing.Any | None:
+        """The only value whose range can contain ``key`` (the caller
+        still checks it), or None."""
+        lows = self.lows
+        i = bisect.bisect_right(lows, key) + len(self.values) - len(lows) - 1
+        return self.values[i] if i >= 0 else None
+
+    def neighbours(self, low: typing.Any) -> list:
+        """The values either side of where a range starting at ``low``
+        goes.  A new range that overlaps any value overlaps one of
+        these: the ones before end before the left one starts, and a
+        later one it reaches starts after the right one does."""
+        i = self.position(low)
+        return self.values[max(i - 1, 0):i + 1]
+
+    def insert(self, low: typing.Any, value: typing.Any) -> None:
+        i = self.position(low)
+        if low is not None:
+            self.lows.insert(i - len(self.values) + len(self.lows), low)
+        self.values.insert(i, value)
+
+    def remove(self, low: typing.Any) -> typing.Any:
+        """Remove and return the value whose range starts at ``low``."""
+        i = self.position(low)
+        if low is not None:
+            del self.lows[i - len(self.values) + len(self.lows)]
+        return self.values.pop(i)
+
+
 @dataclasses.dataclass
 class Forwarding:
     """A pointer left behind when a segment moved to another node."""
@@ -73,8 +129,10 @@ class PartitionTree:
 
     def __init__(self, partition_id: int):
         self.partition_id = partition_id
-        # Sorted association: low-key -> (KeyRange, segment-or-forwarding).
+        # segment id -> (KeyRange, segment-or-forwarding), in attach order.
         self._entries: dict[int, tuple[KeyRange, typing.Any]] = {}
+        # Segment ids ordered by their ranges' low keys.
+        self._bounds = BoundIndex()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -86,18 +144,22 @@ class PartitionTree:
     def attach(self, segment_id: int, key_range: KeyRange, segment: typing.Any) -> None:
         """Splice a segment into the tree (the cheap top-index update
         that makes physiological repartitioning fast)."""
-        for other_id, (other_range, _target) in self._entries.items():
-            if other_id != segment_id and other_range.overlaps(key_range):
+        if segment_id in self._entries:
+            raise ValueError(f"segment {segment_id} is already attached")
+        for other_id in self._bounds.neighbours(key_range.low):
+            other_range = self._entries[other_id][0]
+            if other_range.overlaps(key_range):
                 raise ValueError(
                     f"segment {segment_id} range {key_range} overlaps "
                     f"segment {other_id} range {other_range}"
                 )
         self._entries[segment_id] = (key_range, segment)
+        self._bounds.insert(key_range.low, segment_id)
 
     def detach(self, segment_id: int) -> None:
         if segment_id not in self._entries:
             raise KeyError(f"segment {segment_id} not in partition tree")
-        del self._entries[segment_id]
+        self._bounds.remove(self._entries.pop(segment_id)[0].low)
 
     def forward(self, segment_id: int, target_node_id: int) -> None:
         """Replace a segment entry with a pointer to its new node."""
@@ -112,20 +174,15 @@ class PartitionTree:
         if entry is None or not isinstance(entry[1], Forwarding):
             raise KeyError(f"no forwarding pointer for segment {segment_id}")
         del self._entries[segment_id]
+        self._bounds.remove(entry[0].low)
 
     def find(self, key: typing.Any) -> typing.Any | None:
         """Segment (or Forwarding) whose range contains ``key``."""
-        # KeyRange.contains, inlined: this lookup sits on every routed
-        # record operation.
-        for key_range, target in self._entries.values():
-            low = key_range.low
-            if low is not None and key < low:
-                continue
-            high = key_range.high
-            if high is not None and key >= high:
-                continue
-            return target
-        return None
+        segment_id = self._bounds.candidate(key)
+        if segment_id is None:
+            return None
+        key_range, target = self._entries[segment_id]
+        return target if key_range.contains(key) else None
 
     def find_range(self, key_range: KeyRange) -> list[typing.Any]:
         """All segments/forwardings overlapping ``key_range`` — segment

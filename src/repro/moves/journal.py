@@ -139,6 +139,12 @@ class MoveJournal:
         self._ids = itertools.count(1)
         self.segment_moves: dict[int, SegmentMoveEntry] = {}
         self.range_moves: dict[int, RangeMoveEntry] = {}
+        # The open subsets, in journal order: an entry joins when opened
+        # and leaves when :meth:`advance` / :meth:`advance_range` closes
+        # it — the only writers of ``phase`` — so queries about open
+        # moves never walk the closed history.
+        self._open_segment_moves: dict[int, SegmentMoveEntry] = {}
+        self._open_range_moves: dict[int, RangeMoveEntry] = {}
 
     # -- WAL mirroring ----------------------------------------------------
 
@@ -165,6 +171,7 @@ class MoveJournal:
             fence=fence, epoch=epoch, range_move_id=range_move_id,
         )
         self.segment_moves[entry.move_id] = entry
+        self._open_segment_moves[entry.move_id] = entry
         entry.prepare_lsn = self._log(
             "move", (entry.move_id, PREPARE, segment_id,
                      source_node, target_node, bytes_total)
@@ -173,10 +180,11 @@ class MoveJournal:
 
     def resumable_segment_move(self, segment_id: int, source_node: int,
                                target_node: int) -> SegmentMoveEntry | None:
-        """An open COPY-phase entry for the same segment and endpoints —
-        what a restarted coordinator adopts instead of recopying."""
-        for entry in self.segment_moves.values():
-            if (entry.is_open and entry.segment_id == segment_id
+        """The oldest open entry (PREPARE, COPY or SWITCH) for the same
+        segment and endpoints — what a restarted coordinator adopts
+        instead of recopying."""
+        for entry in self._open_segment_moves.values():
+            if (entry.segment_id == segment_id
                     and entry.source_node == source_node
                     and entry.target_node == target_node):
                 return entry
@@ -189,6 +197,8 @@ class MoveJournal:
                 f"move {entry.move_id} is closed ({entry.phase})"
             )
         entry.phase = phase
+        if phase not in _OPEN_PHASES:
+            del self._open_segment_moves[entry.move_id]
         if detail:
             entry.detail = detail
         self._log("move", (entry.move_id, phase, entry.segment_id, detail))
@@ -213,6 +223,7 @@ class MoveJournal:
             mode=mode, epoch=epoch,
         )
         self.range_moves[entry.move_id] = entry
+        self._open_range_moves[entry.move_id] = entry
         entry.prepare_lsn = self._log(
             "range-move", (entry.move_id, PREPARE, table,
                            source_partition_id, target_partition_id,
@@ -227,6 +238,8 @@ class MoveJournal:
                 f"range move {entry.move_id} is closed ({entry.phase})"
             )
         entry.phase = phase
+        if phase not in _OPEN_PHASES:
+            del self._open_range_moves[entry.move_id]
         if detail:
             entry.detail = detail
         self._log("range-move", (entry.move_id, phase, entry.table, detail))
@@ -239,10 +252,10 @@ class MoveJournal:
     # -- queries ----------------------------------------------------------
 
     def open_segment_moves(self) -> list[SegmentMoveEntry]:
-        return [e for e in self.segment_moves.values() if e.is_open]
+        return list(self._open_segment_moves.values())
 
     def open_range_moves(self) -> list[RangeMoveEntry]:
-        return [e for e in self.range_moves.values() if e.is_open]
+        return list(self._open_range_moves.values())
 
     def oldest_open_move_lsn(self) -> int | None:
         """The PREPARE LSN of the oldest still-open move in the WAL the
@@ -250,18 +263,18 @@ class MoveJournal:
         checkpoint manager must not recycle WAL records at or past an
         open move's journal trail — a crashed coordinator re-drives the
         move from exactly those records."""
-        lsns = [e.prepare_lsn for e in self.open_segment_moves()
+        lsns = [e.prepare_lsn for e in self._open_segment_moves.values()
                 if e.prepare_lsn is not None]
-        lsns += [e.prepare_lsn for e in self.open_range_moves()
+        lsns += [e.prepare_lsn for e in self._open_range_moves.values()
                  if e.prepare_lsn is not None]
         return min(lsns) if lsns else None
 
     def open_moves_involving(self, node_id: int
                              ) -> tuple[list[SegmentMoveEntry],
                                         list[RangeMoveEntry]]:
-        segs = [e for e in self.open_segment_moves()
+        segs = [e for e in self._open_segment_moves.values()
                 if node_id in (e.source_node, e.target_node)]
-        ranges = [e for e in self.open_range_moves()
+        ranges = [e for e in self._open_range_moves.values()
                   if node_id in (e.source_node, e.target_node)]
         return segs, ranges
 
@@ -299,6 +312,6 @@ class MoveJournal:
             "bytes_reshipped": sum(
                 e.bytes_reshipped for e in self.segment_moves.values()
             ),
-            "open_moves": len(self.open_segment_moves()),
-            "open_range_moves": len(self.open_range_moves()),
+            "open_moves": len(self._open_segment_moves),
+            "open_range_moves": len(self._open_range_moves),
         }

@@ -152,8 +152,8 @@ class MoveManager:
                 entry.range_move_id = range_entry.move_id
         else:
             if entry is not None:
-                # Journal says COPY but the extent is gone (rolled back
-                # by someone else): close the stale entry and restart.
+                # The journal holds an open entry but the extent is gone
+                # (rolled back by someone else): close it and restart.
                 journal.advance(entry, ABORTED, "extent lost before resume")
             entry = journal.open_segment_move(
                 segment.segment_id, source.node_id, target.node_id,

@@ -1,7 +1,11 @@
 """Unit tests for the durable move journal: phase transitions, chunk
 checkpoints, resume lookup, accounting, and WAL mirroring."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.moves import (
     ABORTED,
@@ -21,6 +25,7 @@ class FakeWal:
 
     def append(self, txn_id, kind, payload):
         self.records.append((txn_id, kind, payload))
+        return len(self.records)
 
 
 def open_move(journal, segment_id=7, source=1, target=2,
@@ -71,6 +76,20 @@ class TestSegmentEntries:
         assert found is live
         assert journal.resumable_segment_move(7, 2, 1) is None
         assert journal.resumable_segment_move(9, 1, 2) is None
+
+    @pytest.mark.parametrize("phase,adoptable", [
+        (PREPARE, True), (COPY, True), (SWITCH, True),
+        (DONE, False), (ABORTED, False), (FAILED, False),
+    ])
+    def test_resumable_lookup_adopts_every_open_phase(self, phase, adoptable):
+        """Any open entry with the same segment and endpoints is adopted
+        — PREPARE and SWITCH as well as COPY; closed ones never are."""
+        journal = MoveJournal()
+        entry = open_move(journal, segment_id=7, source=1, target=2)
+        if phase != PREPARE:
+            journal.advance(entry, phase)
+        found = journal.resumable_segment_move(7, 1, 2)
+        assert (found is entry) if adoptable else (found is None)
 
     def test_open_moves_involving_filters_by_endpoint(self):
         journal = MoveJournal()
@@ -150,3 +169,63 @@ class TestAccounting:
             "move", "move", "move-chunk", "move", "move",
             "range-move", "range-move-progress", "range-move",
         ]
+
+
+class TestOpenMoveIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_property_open_queries_match_a_full_scan(self, seed):
+        """Random streams of opens, acks and advances to every phase:
+        the open-move queries equal a scan of every journaled entry,
+        entry for entry and in journal order."""
+        rng = random.Random(seed)
+        journal = MoveJournal(wal=FakeWal())
+        phases = [PREPARE, COPY, SWITCH, DONE, ABORTED, FAILED]
+        for _ in range(60):
+            open_segs = [e for e in journal.segment_moves.values()
+                         if e.is_open]
+            open_ranges = [e for e in journal.range_moves.values()
+                           if e.is_open]
+            op = rng.random()
+            if op < 0.3:
+                open_move(journal, segment_id=rng.randrange(4),
+                          source=rng.randrange(3), target=rng.randrange(3))
+            elif op < 0.4:
+                journal.open_range_move("kv", 1, 2, rng.randrange(3),
+                                        rng.randrange(3), SPLIT)
+            elif op < 0.5 and open_segs:
+                journal.ack_chunk(rng.choice(open_segs), 2048)
+            elif op < 0.85 and open_segs:
+                journal.advance(rng.choice(open_segs), rng.choice(phases))
+            elif open_ranges:
+                journal.advance_range(rng.choice(open_ranges),
+                                      rng.choice(phases))
+
+            scan_segs = [e for e in journal.segment_moves.values()
+                         if e.is_open]
+            scan_ranges = [e for e in journal.range_moves.values()
+                           if e.is_open]
+            assert journal.open_segment_moves() == scan_segs
+            assert journal.open_range_moves() == scan_ranges
+            for segment_id in range(4):
+                for source in range(3):
+                    for target in range(3):
+                        first = next(
+                            (e for e in scan_segs
+                             if (e.segment_id, e.source_node, e.target_node)
+                             == (segment_id, source, target)), None)
+                        assert journal.resumable_segment_move(
+                            segment_id, source, target) is first
+            for node in range(4):
+                assert journal.open_moves_involving(node) == (
+                    [e for e in scan_segs
+                     if node in (e.source_node, e.target_node)],
+                    [e for e in scan_ranges
+                     if node in (e.source_node, e.target_node)],
+                )
+            lsns = [e.prepare_lsn for e in scan_segs + scan_ranges]
+            assert journal.oldest_open_move_lsn() == (
+                min(lsns) if lsns else None)
+            summary = journal.summary()
+            assert summary["open_moves"] == len(scan_segs)
+            assert summary["open_range_moves"] == len(scan_ranges)
